@@ -1177,9 +1177,7 @@ fn generate_config(args: &Args) -> Result<sdnav_chaos::GenerateConfig, SdnavErro
         max_order: args
             .get_usize("max-order", defaults.max_order)
             .map_err(usage)?,
-        start_hours: args
-            .get_f64("start", defaults.start_hours)
-            .map_err(usage)?,
+        start_hours: args.get_f64("start", defaults.start_hours).map_err(usage)?,
         spacing_hours: args
             .get_f64("spacing", defaults.spacing_hours)
             .map_err(usage)?,
@@ -1246,11 +1244,7 @@ fn chaos_generate(spec: &ControllerSpec, args: &Args) -> Result<(), SdnavError> 
 
 /// `sdnav chaos run --verdict GENSPEC`: replay a generated campaign and
 /// gate it on the survive-or-attribute check against its expectations.
-fn chaos_verdict(
-    spec: &ControllerSpec,
-    genspec_path: &str,
-    args: &Args,
-) -> Result<(), SdnavError> {
+fn chaos_verdict(spec: &ControllerSpec, genspec_path: &str, args: &Args) -> Result<(), SdnavError> {
     let generated: sdnav_chaos::GeneratedCampaign = read_json(genspec_path)?;
     let topo = layout(spec, args)?;
     if !topo.name().eq_ignore_ascii_case(&generated.topology) {
