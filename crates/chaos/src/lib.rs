@@ -60,6 +60,7 @@ pub use verdict::{verdict, ModeOutcome, ModeVerdict, VerdictConfig, VerdictRepor
 use std::error::Error;
 use std::fmt;
 
+use sdnav_core::hash::{splitmix64, unit_f64};
 use sdnav_json::{FromJson, Json, JsonError, ToJson};
 use sdnav_sim::{
     CrewPool, InjectAction, InjectTarget, InjectionPlan, PlannedEvent, SimResult, Simulation,
@@ -800,14 +801,6 @@ pub fn resolve_target(target: &TargetRef, sim: &Simulation<'_>) -> Result<Inject
     }
 }
 
-/// SplitMix64 finalizer (same mixing as `sdnav-grid` seeding).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Deterministic Bernoulli draw for common-cause member `member` of
 /// occurrence `occurrence` of injection `injection`, keyed only by
 /// identity — never by position in the final event stream.
@@ -827,9 +820,7 @@ fn ccf_member_fails(
     let z = splitmix64(
         splitmix64(splitmix64(seed ^ injection as u64) ^ occurrence as u64) ^ member as u64,
     );
-    // 53-bit uniform in [0, 1).
-    let u = (z >> 11) as f64 / (1u64 << 53) as f64;
-    u < probability
+    unit_f64(z) < probability
 }
 
 /// Compiles a campaign against a prepared simulation into a deterministic

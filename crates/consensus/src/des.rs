@@ -1,6 +1,6 @@
-//! The discrete-event consensus layer: an event-heap engine in the mold
-//! of `sdnav-sim`'s injection-hook core, specialized to the controller
-//! cluster's coordination dynamics.
+//! The discrete-event consensus layer: an engine on the same event kernel
+//! as `sdnav-sim`, specialized to the controller cluster's coordination
+//! dynamics.
 //!
 //! # Event types
 //!
@@ -17,18 +17,20 @@
 //!   leader-targeted campaigns compile to; [`InjectTarget::Leader`]
 //!   resolves at fire time.
 //!
-//! Stale events are cancelled by generation counters (per node, and one
-//! for the election seat), exactly as the main simulator's epoch scheme
-//! works. All randomness flows from identity-seeded SplitMix64 streams:
-//! node `i` owns stream `seed ⊕ mix(i+1)`, racks and the election seat
-//! own tagged streams of their own, so no draw ever depends on event
-//! arrival order or thread scheduling.
+//! Events run on the shared kernel [`sdnav_core::des::EventQueue`]: node
+//! `i` is slot `i` and the election seat is slot `n`, so killing a node
+//! cancels its pending failure, repair and catch-up, and opening a new
+//! election or stalling cancels the pending election result. All
+//! randomness flows from identity-seeded [`sdnav_core::hash::Stream`]s:
+//! node `i` owns stream `(seed, i+1)`, racks and the election seat own
+//! tagged streams of their own, so no draw ever depends on event arrival
+//! order or thread scheduling.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
+use sdnav_core::des::EventQueue;
+use sdnav_core::hash::Stream;
 use sdnav_core::{ConsensusError, ConsensusSpec};
 
 use crate::ConsensusParams;
@@ -36,50 +38,11 @@ use crate::ConsensusParams;
 /// Milliseconds per hour.
 const MS_PER_HOUR: f64 = 3_600_000.0;
 
-/// SplitMix64 increment (the "golden gamma").
-const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
 /// Stream tag for the election seat.
 const ELECTION_TAG: u64 = 0xE1EC_7100_0000_0001;
 
 /// Stream tag base for racks.
 const RACK_TAG: u64 = 0x0AC0_0000_0000_0001;
-
-/// SplitMix64 finalizer.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// An identity-seeded SplitMix64 draw stream.
-#[derive(Debug, Clone, Copy)]
-struct Stream {
-    state: u64,
-}
-
-impl Stream {
-    fn new(seed: u64, tag: u64) -> Self {
-        Stream {
-            state: mix(seed ^ mix(tag)),
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(GAMMA);
-        mix(self.state)
-    }
-
-    /// Uniform draw in `[0, 1)` from the top 53 bits.
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Exponential draw with the given per-hour rate.
-    fn exp(&mut self, rate: f64) -> f64 {
-        -(1.0 - self.next_f64()).ln() / rate
-    }
-}
 
 /// What an [`Injection`] kills.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,39 +159,6 @@ enum EventKind {
     Injected(usize),
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    time: f64,
-    seq: u64,
-    gen: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time.total_cmp(&other.time) == Ordering::Equal && self.seq == other.seq
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    // Reversed: BinaryHeap pops its maximum, we want the earliest time
-    // (ties broken by insertion order for full determinism).
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .total_cmp(&self.time)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NodeState {
     Active,
@@ -253,29 +183,14 @@ pub struct ConsensusSim {
 }
 
 struct RunState {
-    heap: BinaryHeap<Event>,
-    seq: u64,
+    /// Slots `0..n` are the nodes, slot `n` the election seat.
+    queue: EventQueue<EventKind>,
     node_state: Vec<NodeState>,
-    node_gen: Vec<u64>,
     held_by_rack: Vec<bool>,
     node_streams: Vec<Stream>,
     election_stream: Stream,
     rack_streams: Vec<Stream>,
     phase: Phase,
-    election_gen: u64,
-}
-
-impl RunState {
-    fn push(&mut self, time: f64, gen: u64, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Event {
-            time,
-            seq,
-            gen,
-            kind,
-        });
-    }
 }
 
 impl ConsensusSim {
@@ -376,11 +291,10 @@ impl ConsensusSim {
             .racks
             .as_ref()
             .map_or(0, |r| r.placement.iter().max().map_or(0, |m| m + 1));
+        let seat = n;
         let mut st = RunState {
-            heap: BinaryHeap::new(),
-            seq: 0,
+            queue: EventQueue::new(n + 1),
             node_state: vec![NodeState::Active; n],
-            node_gen: vec![0; n],
             held_by_rack: vec![false; n],
             node_streams: (0..n).map(|i| Stream::new(seed, (i as u64) + 1)).collect(),
             election_stream: Stream::new(seed, ELECTION_TAG),
@@ -388,23 +302,22 @@ impl ConsensusSim {
                 .map(|r| Stream::new(seed, RACK_TAG ^ ((r as u64) << 8)))
                 .collect(),
             phase: Phase::Stall,
-            election_gen: 0,
         };
 
         // Seed the initial schedules: node failures, rack failures, and
-        // the injection plan (which fires regardless of generations).
+        // the injection plan (which no cancellation reaches).
         for i in 0..n {
             let t = st.node_streams[i].exp(lam);
-            st.push(t, st.node_gen[i], EventKind::NodeFail(i));
+            st.queue.push(t, Some(i), EventKind::NodeFail(i));
         }
         if let Some(racks) = &self.racks {
             for r in 0..rack_count {
                 let t = st.rack_streams[r].exp(1.0 / racks.rack_mtbf_hours);
-                st.push(t, 0, EventKind::RackFail(r));
+                st.queue.push(t, None, EventKind::RackFail(r));
             }
         }
         for (idx, inj) in injections.iter().enumerate() {
-            st.push(inj.at_hours, 0, EventKind::Injected(idx));
+            st.queue.push(inj.at_hours, None, EventKind::Injected(idx));
         }
 
         // The run opens with an already-settled leader: the measurement
@@ -445,14 +358,17 @@ impl ConsensusSim {
         }
         macro_rules! start_election {
             ($t:expr) => {
-                st.election_gen += 1;
+                st.queue.cancel(seat);
                 let duration_ms = self
                     .spec
                     .election_latency
                     .sample_ms(st.election_stream.next_f64())
                     + self.spec.heartbeat_interval_ms;
-                let gen = st.election_gen;
-                st.push($t + duration_ms / MS_PER_HOUR, gen, EventKind::ElectionDone);
+                st.queue.push(
+                    $t + duration_ms / MS_PER_HOUR,
+                    Some(seat),
+                    EventKind::ElectionDone,
+                );
                 st.phase = Phase::Electing;
             };
         }
@@ -467,7 +383,7 @@ impl ConsensusSim {
                             // CheckQuorum: the leader steps down the moment
                             // it cannot reach a commit quorum.
                             account!($t);
-                            st.election_gen += 1;
+                            st.queue.cancel(seat);
                             st.phase = Phase::Stall;
                             stalls += 1;
                         } else if !leader_ok {
@@ -478,7 +394,7 @@ impl ConsensusSim {
                     Phase::Electing => {
                         if !quorum_ok {
                             account!($t);
-                            st.election_gen += 1;
+                            st.queue.cancel(seat);
                             st.phase = Phase::Stall;
                             stalls += 1;
                         }
@@ -497,11 +413,11 @@ impl ConsensusSim {
         // brings the node back itself).
         macro_rules! kill_node {
             ($t:expr, $i:expr, $schedule_repair:expr) => {
-                st.node_gen[$i] += 1;
+                st.queue.cancel($i);
                 st.node_state[$i] = NodeState::Down;
                 if $schedule_repair {
                     let dt = st.node_streams[$i].exp(mu);
-                    st.push($t + dt, st.node_gen[$i], EventKind::NodeRepair($i));
+                    st.queue.push($t + dt, Some($i), EventKind::NodeRepair($i));
                 }
             };
         }
@@ -511,67 +427,47 @@ impl ConsensusSim {
             ($t:expr, $i:expr) => {
                 st.node_state[$i] = NodeState::CatchingUp;
                 st.held_by_rack[$i] = false;
-                let gen = st.node_gen[$i];
-                st.push($t + catch_up_h, gen, EventKind::CatchUp($i));
+                st.queue
+                    .push($t + catch_up_h, Some($i), EventKind::CatchUp($i));
                 let ttf = st.node_streams[$i].exp(lam);
-                st.push($t + ttf, gen, EventKind::NodeFail($i));
+                st.queue.push($t + ttf, Some($i), EventKind::NodeFail($i));
             };
         }
 
-        while let Some(ev) = st.heap.pop() {
-            if ev.time >= horizon {
-                break;
-            }
-            let t = ev.time;
-            match ev.kind {
+        while let Some((t, kind)) = st.queue.pop_before(horizon) {
+            match kind {
                 EventKind::NodeFail(i) => {
-                    if ev.gen != st.node_gen[i] || st.node_state[i] == NodeState::Down {
-                        continue;
-                    }
                     kill_node!(t, i, true);
                     recheck!(t);
                 }
                 EventKind::NodeRepair(i) => {
-                    if ev.gen != st.node_gen[i] {
-                        continue;
-                    }
                     revive_node!(t, i);
                 }
                 EventKind::CatchUp(i) => {
-                    if ev.gen != st.node_gen[i] || st.node_state[i] != NodeState::CatchingUp {
-                        continue;
-                    }
                     st.node_state[i] = NodeState::Active;
                     recheck!(t);
                 }
                 EventKind::ElectionDone => {
-                    if ev.gen != st.election_gen || st.phase != Phase::Electing {
-                        continue;
-                    }
-                    let candidates: Vec<usize> = (0..n - byz)
+                    // Electing implies the quorum is intact, so there is
+                    // at least one active honest candidate.
+                    let pick = (st.election_stream.next_u64() as usize) % honest_active(&st);
+                    let leader = (0..n - byz)
                         .filter(|&i| st.node_state[i] == NodeState::Active)
-                        .collect();
-                    // Electing implies the quorum is intact, so the
-                    // candidate list is never empty.
-                    let pick = (st.election_stream.next_u64() as usize) % candidates.len();
+                        .nth(pick)
+                        .expect("pick indexes the active candidates");
                     account!(t);
-                    st.phase = Phase::Led {
-                        leader: candidates[pick],
-                    };
+                    st.phase = Phase::Led { leader };
                     elections += 1;
                 }
                 EventKind::RackFail(r) => {
                     let racks = self.racks.as_ref().expect("rack event implies rack config");
                     let repair = st.rack_streams[r].exp(1.0 / racks.rack_mttr_hours);
-                    st.push(t + repair, 0, EventKind::RackRepair(r));
+                    st.queue.push(t + repair, None, EventKind::RackRepair(r));
                     for i in 0..n {
-                        if racks.placement[i] == r && st.node_state[i] != NodeState::Down {
+                        // A node already down for its own reasons is held
+                        // too: the rack outage supersedes its pending repair.
+                        if racks.placement[i] == r {
                             kill_node!(t, i, false);
-                            st.held_by_rack[i] = true;
-                        } else if racks.placement[i] == r && st.node_state[i] == NodeState::Down {
-                            // Already down for its own reasons: the rack
-                            // outage supersedes the pending repair.
-                            st.node_gen[i] += 1;
                             st.held_by_rack[i] = true;
                         }
                     }
@@ -580,7 +476,7 @@ impl ConsensusSim {
                 EventKind::RackRepair(r) => {
                     let racks = self.racks.as_ref().expect("rack event implies rack config");
                     let next = st.rack_streams[r].exp(1.0 / racks.rack_mtbf_hours);
-                    st.push(t + next, 0, EventKind::RackFail(r));
+                    st.queue.push(t + next, None, EventKind::RackFail(r));
                     for i in 0..n {
                         if racks.placement[i] == r && st.held_by_rack[i] {
                             revive_node!(t, i);

@@ -1,8 +1,11 @@
 //! Grid expansion: turning a [`crate::GridSpec`] into independent work
 //! items with deterministic, identity-derived seeds.
 
+use sdnav_core::hash::splitmix64;
 use sdnav_core::sweep::linspace;
 use sdnav_core::{FaultMix, Scenario};
+
+use crate::GridSpec;
 
 /// One of the paper's swept figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -197,12 +200,28 @@ pub fn plan_items(figures: &[Figure], points: usize, replications: usize) -> Vec
     items
 }
 
-/// SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// Expands a whole grid into the executor's canonical work-item order:
+/// [`plan_items`] (figures, then sim cells), then the chaos cells when a
+/// campaign is set, then the consensus cells when a base consensus spec
+/// is set. Aggregation, checkpoint replay and the static cost model all
+/// rely on this one order.
+#[must_use]
+pub fn plan_grid_items(grid: &GridSpec) -> Vec<WorkItem> {
+    let mut items = plan_items(&grid.figures, grid.points, grid.replications);
+    if grid.chaos_campaign.is_some() {
+        items.extend(plan_chaos_items(
+            &grid.chaos_crew_counts,
+            &grid.chaos_ccf_probabilities,
+        ));
+    }
+    if grid.consensus.is_some() {
+        items.extend(plan_consensus_items(
+            &grid.consensus_election_timeouts_ms,
+            &grid.consensus_cluster_sizes,
+            &grid.consensus_fault_mixes,
+        ));
+    }
+    items
 }
 
 /// Deterministic per-item RNG seed, derived from the base seed and the

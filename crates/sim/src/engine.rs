@@ -1,11 +1,9 @@
 //! The discrete-event simulation engine.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use sdnav_core::des::EventQueue;
 use sdnav_core::{ControllerSpec, Plane, RestartMode, Scenario, Topology};
 
 use crate::injection::{
@@ -68,46 +66,8 @@ enum EventKind {
     Rediscover(usize),
     /// A planned injection occurrence (index into `InjectionPlan::events`).
     Injected(usize),
-    /// End of a maintenance window on a flat element index.
+    /// End of a maintenance window (index into `InjectionPlan::events`).
     MaintEnd(usize),
-}
-
-/// Epoch value meaning "always valid" (events not tied to an element's
-/// failure/repair cycle: rediscovery, injections, maintenance ends).
-const EPOCH_ANY: u32 = u32::MAX;
-
-#[derive(Debug)]
-struct TimedEvent {
-    time: f64,
-    seq: u64,
-    /// Generation of the target element when this event was scheduled.
-    /// An injection that forces the element's state bumps the element's
-    /// epoch, silently cancelling stale pending events ([`EPOCH_ANY`]
-    /// events are never cancelled). With no injections every epoch stays
-    /// 0, so organic behavior is untouched.
-    epoch: u32,
-    kind: EventKind,
-}
-
-impl PartialEq for TimedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for TimedEvent {}
-impl PartialOrd for TimedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimedEvent {
-    // Reversed: BinaryHeap is a max-heap, we want the earliest event first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// One controller process instance.
@@ -471,24 +431,17 @@ impl<'a> Simulation<'a> {
     /// Flat element index of an event's target, or `None` for events not
     /// tied to one element's failure/repair cycle.
     fn elem_of(&self, kind: EventKind) -> Option<usize> {
-        let (r, h, v, p) = (
-            self.rack_count,
-            self.host_rack.len(),
-            self.vm_host.len(),
-            self.procs.len(),
-        );
-        Some(match kind {
-            EventKind::RackFail(i) | EventKind::RackRepair(i) => i,
-            EventKind::HostFail(i) | EventKind::HostRepair(i) => r + i,
-            EventKind::VmFail(i) | EventKind::VmRepair(i) => r + h + i,
-            EventKind::ProcFail(i) | EventKind::ProcRepair(i) => r + h + v + i,
-            EventKind::VProcFail(host, idx) | EventKind::VProcRepair(host, idx) => {
-                r + h + v + p + host * self.vprocs.len() + idx
-            }
+        let target = match kind {
+            EventKind::RackFail(i) | EventKind::RackRepair(i) => InjectTarget::Rack(i),
+            EventKind::HostFail(i) | EventKind::HostRepair(i) => InjectTarget::Host(i),
+            EventKind::VmFail(i) | EventKind::VmRepair(i) => InjectTarget::Vm(i),
+            EventKind::ProcFail(i) | EventKind::ProcRepair(i) => InjectTarget::Proc(i),
+            EventKind::VProcFail(h, i) | EventKind::VProcRepair(h, i) => InjectTarget::VProc(h, i),
             EventKind::Rediscover(_) | EventKind::Injected(_) | EventKind::MaintEnd(_) => {
                 return None
             }
-        })
+        };
+        Some(self.elem_of_target(target))
     }
 
     fn elem_of_target(&self, target: InjectTarget) -> usize {
@@ -526,8 +479,12 @@ struct QueuedRepair {
 /// Mutable per-run state.
 struct RunState<'p> {
     rng: SmallRng,
-    queue: BinaryHeap<TimedEvent>,
-    seq: u64,
+    /// One cancellation slot per element: an injection that forces an
+    /// element's state cancels its pending failure/repair events.
+    /// Rediscovery, injections and maintenance ends carry no slot. With
+    /// no injections nothing is ever cancelled, so organic behavior is
+    /// untouched.
+    queue: EventQueue<EventKind>,
     rack_up: Vec<bool>,
     host_up: Vec<bool>,
     vm_up: Vec<bool>,
@@ -539,9 +496,6 @@ struct RunState<'p> {
     events: u64,
     // --- Injection state (inert for an empty plan) ---
     plan: &'p InjectionPlan,
-    /// Per-element generation counters; bumped by injections to cancel
-    /// stale pending events.
-    epochs: Vec<u32>,
     /// Per-element maintenance-window end (0 = not under maintenance).
     maint_until: Vec<f64>,
     crew_busy: usize,
@@ -576,8 +530,7 @@ impl<'p> RunState<'p> {
         let cfg = &sim.config;
         let mut state = RunState {
             rng: SmallRng::seed_from_u64(seed),
-            queue: BinaryHeap::new(),
-            seq: 0,
+            queue: EventQueue::new(sim.elem_count()),
             rack_up: vec![true; sim.rack_count],
             host_up: vec![true; sim.host_rack.len()],
             vm_up: vec![true; sim.vm_host.len()],
@@ -589,7 +542,6 @@ impl<'p> RunState<'p> {
             rediscovery_pending: vec![false; cfg.compute_hosts],
             events: 0,
             plan,
-            epochs: vec![0; sim.elem_count()],
             maint_until: vec![0.0; sim.elem_count()],
             crew_busy: 0,
             crew_order: 0,
@@ -635,7 +587,7 @@ impl<'p> RunState<'p> {
             }
         }
         // Merge the planned injection stream (time-sorted by the compiler;
-        // same-time ties resolve by push order via `seq`).
+        // same-time ties resolve by push order).
         for (i, ev) in plan.events.iter().enumerate() {
             state.push(sim, ev.time, EventKind::Injected(i));
         }
@@ -660,14 +612,7 @@ impl<'p> RunState<'p> {
     }
 
     fn push(&mut self, sim: &Simulation<'_>, time: f64, kind: EventKind) {
-        self.seq += 1;
-        let epoch = sim.elem_of(kind).map_or(EPOCH_ANY, |e| self.epochs[e]);
-        self.queue.push(TimedEvent {
-            time,
-            seq: self.seq,
-            epoch,
-            kind,
-        });
+        self.queue.push(time, sim.elem_of(kind), kind);
     }
 
     /// Records that the current event took an element down (for outage
@@ -948,80 +893,34 @@ impl<'p> RunState<'p> {
     }
 
     fn apply(&mut self, sim: &Simulation<'_>, kind: EventKind, now: f64) {
-        let cfg = &sim.config;
         match kind {
-            EventKind::RackFail(i) => {
-                self.rack_up[i] = false;
-                self.note_down();
-                let t = self.repair(cfg.repair_shape, cfg.rack.mttr);
-                let elem = sim.elem_of_target(InjectTarget::Rack(i));
-                self.schedule_hw_repair(sim, elem, EventKind::RackRepair(i), t, now);
+            EventKind::RackFail(i) => self.fail_target(sim, InjectTarget::Rack(i), None, now),
+            EventKind::HostFail(i) => self.fail_target(sim, InjectTarget::Host(i), None, now),
+            EventKind::VmFail(i) => self.fail_target(sim, InjectTarget::Vm(i), None, now),
+            EventKind::ProcFail(i) => self.fail_target(sim, InjectTarget::Proc(i), None, now),
+            EventKind::VProcFail(h, i) => {
+                self.fail_target(sim, InjectTarget::VProc(h, i), None, now);
             }
-            EventKind::RackRepair(i) => {
-                self.rack_up[i] = true;
-                let t = self.exp(cfg.rack.mtbf);
-                self.push(sim, now + t, EventKind::RackFail(i));
-                self.release_crew(sim, sim.elem_of_target(InjectTarget::Rack(i)), now);
-            }
-            EventKind::HostFail(i) => {
-                self.host_up[i] = false;
-                self.note_down();
-                let t = self.repair(cfg.repair_shape, cfg.host.mttr);
-                let elem = sim.elem_of_target(InjectTarget::Host(i));
-                self.schedule_hw_repair(sim, elem, EventKind::HostRepair(i), t, now);
-            }
-            EventKind::HostRepair(i) => {
-                self.host_up[i] = true;
-                let t = self.exp(cfg.host.mtbf);
-                self.push(sim, now + t, EventKind::HostFail(i));
-                self.release_crew(sim, sim.elem_of_target(InjectTarget::Host(i)), now);
-            }
-            EventKind::VmFail(i) => {
-                self.vm_up[i] = false;
-                self.note_down();
-                let t = self.repair(cfg.repair_shape, cfg.vm.mttr);
-                let elem = sim.elem_of_target(InjectTarget::Vm(i));
-                self.schedule_hw_repair(sim, elem, EventKind::VmRepair(i), t, now);
-            }
-            EventKind::VmRepair(i) => {
-                self.vm_up[i] = true;
-                let t = self.exp(cfg.vm.mtbf);
-                self.push(sim, now + t, EventKind::VmFail(i));
-                self.release_crew(sim, sim.elem_of_target(InjectTarget::Vm(i)), now);
-            }
-            EventKind::ProcFail(pid) => {
-                self.proc_up[pid] = false;
-                self.note_down();
-                let t = self.proc_restart_time(sim, pid);
-                self.push(sim, now + t, EventKind::ProcRepair(pid));
-            }
-            EventKind::ProcRepair(pid) => {
-                self.proc_up[pid] = true;
-                let t = self.exp(cfg.process_mtbf / sim.procs[pid].fail_factor.max(1e-12));
-                self.push(sim, now + t, EventKind::ProcFail(pid));
-            }
-            EventKind::VProcFail(host, idx) => {
-                self.vproc_up[host][idx] = false;
-                self.note_down();
-                let t = self.vproc_restart_time(sim, host, idx);
-                self.push(sim, now + t, EventKind::VProcRepair(host, idx));
-            }
-            EventKind::VProcRepair(host, idx) => {
-                self.vproc_up[host][idx] = true;
-                let t = self.exp(cfg.process_mtbf / sim.vprocs[idx].fail_factor.max(1e-12));
-                self.push(sim, now + t, EventKind::VProcFail(host, idx));
+            EventKind::RackRepair(i) => self.repair_target(sim, InjectTarget::Rack(i), now),
+            EventKind::HostRepair(i) => self.repair_target(sim, InjectTarget::Host(i), now),
+            EventKind::VmRepair(i) => self.repair_target(sim, InjectTarget::Vm(i), now),
+            EventKind::ProcRepair(i) => self.repair_target(sim, InjectTarget::Proc(i), now),
+            EventKind::VProcRepair(h, i) => {
+                self.repair_target(sim, InjectTarget::VProc(h, i), now);
             }
             EventKind::Rediscover(host) => {
                 self.rediscovery_pending[host] = false;
                 self.rediscover(sim, host);
             }
             EventKind::Injected(i) => self.apply_injected(sim, i, now),
-            EventKind::MaintEnd(elem) => {
+            EventKind::MaintEnd(i) => {
                 // Skip superseded window ends (overlaps merge to the
                 // latest end) and duplicates after the window closed.
+                let target = self.plan.events[i].target;
+                let elem = sim.elem_of_target(target);
                 if self.maint_until[elem] > 0.0 && now + 1e-9 >= self.maint_until[elem] {
                     self.maint_until[elem] = 0.0;
-                    self.restore_elem(sim, elem, now);
+                    self.restore_target(sim, target, now);
                 }
             }
         }
@@ -1031,7 +930,6 @@ impl<'p> RunState<'p> {
     /// Applies planned-injection occurrence `i` of the plan.
     fn apply_injected(&mut self, sim: &Simulation<'_>, i: usize, now: f64) {
         let ev = self.plan.events[i];
-        let cfg = &sim.config;
         let elem = sim.elem_of_target(ev.target);
         match ev.action {
             InjectAction::Fail { repair_hours } => {
@@ -1039,58 +937,20 @@ impl<'p> RunState<'p> {
                 if !self.target_up(ev.target) {
                     return;
                 }
-                self.set_target_down(ev.target);
-                self.note_down();
-                // Cancel the pending organic failure clock; the repair we
-                // schedule below carries the new epoch.
-                self.epochs[elem] = self.epochs[elem].wrapping_add(1);
-                match ev.target {
-                    InjectTarget::Rack(r) => {
-                        let t = match repair_hours {
-                            Some(t) => t,
-                            None => self.repair(cfg.repair_shape, cfg.rack.mttr),
-                        };
-                        self.schedule_hw_repair(sim, elem, EventKind::RackRepair(r), t, now);
-                    }
-                    InjectTarget::Host(h) => {
-                        let t = match repair_hours {
-                            Some(t) => t,
-                            None => self.repair(cfg.repair_shape, cfg.host.mttr),
-                        };
-                        self.schedule_hw_repair(sim, elem, EventKind::HostRepair(h), t, now);
-                    }
-                    InjectTarget::Vm(v) => {
-                        let t = match repair_hours {
-                            Some(t) => t,
-                            None => self.repair(cfg.repair_shape, cfg.vm.mttr),
-                        };
-                        self.schedule_hw_repair(sim, elem, EventKind::VmRepair(v), t, now);
-                    }
-                    InjectTarget::Proc(pid) => {
-                        let t = match repair_hours {
-                            Some(t) => t,
-                            None => self.proc_restart_time(sim, pid),
-                        };
-                        self.push(sim, now + t, EventKind::ProcRepair(pid));
-                    }
-                    InjectTarget::VProc(host, idx) => {
-                        let t = match repair_hours {
-                            Some(t) => t,
-                            None => self.vproc_restart_time(sim, host, idx),
-                        };
-                        self.push(sim, now + t, EventKind::VProcRepair(host, idx));
-                    }
-                }
+                // Cancel the pending organic failure clock; the repair
+                // scheduled after the cancel stays live.
+                self.queue.cancel(elem);
+                self.fail_target(sim, ev.target, repair_hours, now);
                 self.injected_count += 1;
             }
             InjectAction::Maintenance { duration_hours } => {
                 if self.target_up(ev.target) {
-                    self.set_target_down(ev.target);
+                    self.set_target_up(ev.target, false);
                     self.note_down();
                 }
                 // Cancel whatever was pending (organic fail or an
                 // in-flight repair) — the window owns the element now.
-                self.epochs[elem] = self.epochs[elem].wrapping_add(1);
+                self.queue.cancel(elem);
                 if self.crew_held[elem] {
                     self.release_crew(sim, elem, now);
                 } else {
@@ -1098,7 +958,7 @@ impl<'p> RunState<'p> {
                 }
                 let end = (now + duration_hours).max(self.maint_until[elem]);
                 self.maint_until[elem] = end;
-                self.push(sim, end, EventKind::MaintEnd(elem));
+                self.push(sim, end, EventKind::MaintEnd(i));
                 self.injected_count += 1;
             }
             InjectAction::Latent => {
@@ -1120,53 +980,71 @@ impl<'p> RunState<'p> {
         }
     }
 
-    fn set_target_down(&mut self, target: InjectTarget) {
+    fn set_target_up(&mut self, target: InjectTarget, up: bool) {
         match target {
-            InjectTarget::Rack(i) => self.rack_up[i] = false,
-            InjectTarget::Host(i) => self.host_up[i] = false,
-            InjectTarget::Vm(i) => self.vm_up[i] = false,
-            InjectTarget::Proc(i) => self.proc_up[i] = false,
-            InjectTarget::VProc(host, idx) => self.vproc_up[host][idx] = false,
+            InjectTarget::Rack(i) => self.rack_up[i] = up,
+            InjectTarget::Host(i) => self.host_up[i] = up,
+            InjectTarget::Vm(i) => self.vm_up[i] = up,
+            InjectTarget::Proc(i) => self.proc_up[i] = up,
+            InjectTarget::VProc(host, idx) => self.vproc_up[host][idx] = up,
         }
     }
 
-    /// Ends a maintenance window: the element comes back repaired and its
-    /// organic failure clock restarts fresh.
-    fn restore_elem(&mut self, sim: &Simulation<'_>, elem: usize, now: f64) {
+    /// Takes `target` down and schedules its repair after `repair_hours`
+    /// (an injection's fixed duration) or a sampled repair/restart time.
+    /// Hardware repairs go through the crew pool; processes restart alone.
+    fn fail_target(
+        &mut self,
+        sim: &Simulation<'_>,
+        target: InjectTarget,
+        repair_hours: Option<f64>,
+        now: f64,
+    ) {
         let cfg = &sim.config;
-        let (r, h, v, p) = (
-            sim.rack_count,
-            sim.host_rack.len(),
-            sim.vm_host.len(),
-            sim.procs.len(),
-        );
-        if elem < r {
-            self.rack_up[elem] = true;
-            let t = self.exp(cfg.rack.mtbf);
-            self.push(sim, now + t, EventKind::RackFail(elem));
-        } else if elem < r + h {
-            let i = elem - r;
-            self.host_up[i] = true;
-            let t = self.exp(cfg.host.mtbf);
-            self.push(sim, now + t, EventKind::HostFail(i));
-        } else if elem < r + h + v {
-            let i = elem - r - h;
-            self.vm_up[i] = true;
-            let t = self.exp(cfg.vm.mtbf);
-            self.push(sim, now + t, EventKind::VmFail(i));
-        } else if elem < r + h + v + p {
-            let pid = elem - r - h - v;
-            self.proc_up[pid] = true;
-            let t = self.exp(cfg.process_mtbf / sim.procs[pid].fail_factor.max(1e-12));
-            self.push(sim, now + t, EventKind::ProcFail(pid));
-        } else {
-            let off = elem - r - h - v - p;
-            let host = off / sim.vprocs.len();
-            let idx = off % sim.vprocs.len();
-            self.vproc_up[host][idx] = true;
-            let t = self.exp(cfg.process_mtbf / sim.vprocs[idx].fail_factor.max(1e-12));
-            self.push(sim, now + t, EventKind::VProcFail(host, idx));
-        }
+        self.set_target_up(target, false);
+        self.note_down();
+        let (mttr, repair) = match target {
+            InjectTarget::Rack(i) => (cfg.rack.mttr, EventKind::RackRepair(i)),
+            InjectTarget::Host(i) => (cfg.host.mttr, EventKind::HostRepair(i)),
+            InjectTarget::Vm(i) => (cfg.vm.mttr, EventKind::VmRepair(i)),
+            InjectTarget::Proc(pid) => {
+                let t = repair_hours.unwrap_or_else(|| self.proc_restart_time(sim, pid));
+                return self.push(sim, now + t, EventKind::ProcRepair(pid));
+            }
+            InjectTarget::VProc(host, idx) => {
+                let t = repair_hours.unwrap_or_else(|| self.vproc_restart_time(sim, host, idx));
+                return self.push(sim, now + t, EventKind::VProcRepair(host, idx));
+            }
+        };
+        let t = repair_hours.unwrap_or_else(|| self.repair(cfg.repair_shape, mttr));
+        self.schedule_hw_repair(sim, sim.elem_of_target(target), repair, t, now);
+    }
+
+    /// Completes `target`'s repair and frees the crew it held, if any.
+    fn repair_target(&mut self, sim: &Simulation<'_>, target: InjectTarget, now: f64) {
+        self.restore_target(sim, target, now);
+        self.release_crew(sim, sim.elem_of_target(target), now);
+    }
+
+    /// Brings `target` back up and restarts its organic failure clock.
+    fn restore_target(&mut self, sim: &Simulation<'_>, target: InjectTarget, now: f64) {
+        let cfg = &sim.config;
+        self.set_target_up(target, true);
+        let (mtbf, fail) = match target {
+            InjectTarget::Rack(i) => (cfg.rack.mtbf, EventKind::RackFail(i)),
+            InjectTarget::Host(i) => (cfg.host.mtbf, EventKind::HostFail(i)),
+            InjectTarget::Vm(i) => (cfg.vm.mtbf, EventKind::VmFail(i)),
+            InjectTarget::Proc(pid) => (
+                cfg.process_mtbf / sim.procs[pid].fail_factor.max(1e-12),
+                EventKind::ProcFail(pid),
+            ),
+            InjectTarget::VProc(host, idx) => (
+                cfg.process_mtbf / sim.vprocs[idx].fail_factor.max(1e-12),
+                EventKind::VProcFail(host, idx),
+            ),
+        };
+        let t = self.exp(mtbf);
+        self.push(sim, now + t, fail);
     }
 
     /// Reveals armed latent faults after a failover: whenever a CP
@@ -1206,7 +1084,7 @@ impl<'p> RunState<'p> {
                         self.latent_armed[pid] = None;
                         self.proc_up[pid] = false;
                         let elem = sim.elem_of_target(InjectTarget::Proc(pid));
-                        self.epochs[elem] = self.epochs[elem].wrapping_add(1);
+                        self.queue.cancel(elem);
                         let t = self.repair(sim.config.repair_shape, sim.config.manual_restart);
                         self.push(sim, now + t, EventKind::ProcRepair(pid));
                         self.downs_this_event.push(Cause::Injection(inj));
@@ -1281,36 +1159,25 @@ impl<'p> RunState<'p> {
                 .collect();
         }
 
-        while let Some(event) = self.queue.pop() {
-            if event.time >= horizon {
-                break;
-            }
-            // Drop events cancelled by an injection (stale epoch). These
-            // never exist without injections, so the organic path is
-            // untouched.
-            if let Some(elem) = sim.elem_of(event.kind) {
-                if event.epoch != self.epochs[elem] {
-                    continue;
-                }
-            }
+        while let Some((time, kind)) = self.queue.pop_before(horizon) {
             let dp_up_count = dp_state.iter().filter(|&&u| u).count() as f64;
             accumulate(
                 &mut cp_batch,
                 &mut dp_batch,
                 now,
-                event.time,
+                time,
                 cp_state,
                 dp_up_count,
             );
-            self.accumulate_dp_ledger(now, event.time, &dp_state, warmup, horizon);
-            now = event.time;
+            self.accumulate_dp_ledger(now, time, &dp_state, warmup, horizon);
+            now = time;
             self.events += 1;
             self.downs_this_event.clear();
-            self.event_cause = match event.kind {
+            self.event_cause = match kind {
                 EventKind::Injected(i) => Cause::Injection(self.plan.events[i].injection),
                 _ => Cause::Organic,
             };
-            self.apply(sim, event.kind, now);
+            self.apply(sim, kind, now);
             if self.track_latents {
                 self.reveal_latents(sim, now);
             }
@@ -1806,43 +1673,6 @@ mod tests {
             .run(2);
         assert!(r.cp_outage_durations.is_empty());
         assert!(r.cp_outage_count > 0);
-    }
-
-    #[test]
-    fn same_time_events_resolve_by_seq() {
-        // Two events at the same timestamp must pop in `seq` order — the
-        // tie-break that makes Rediscover scheduling deterministic when a
-        // rediscovery lands exactly on another transition.
-        let mut heap = BinaryHeap::new();
-        heap.push(TimedEvent {
-            time: 5.0,
-            seq: 2,
-            epoch: EPOCH_ANY,
-            kind: EventKind::Rediscover(1),
-        });
-        heap.push(TimedEvent {
-            time: 5.0,
-            seq: 1,
-            epoch: EPOCH_ANY,
-            kind: EventKind::Rediscover(0),
-        });
-        heap.push(TimedEvent {
-            time: 4.0,
-            seq: 3,
-            epoch: 0,
-            kind: EventKind::RackFail(0),
-        });
-        let order: Vec<(u64, EventKind)> = std::iter::from_fn(|| heap.pop())
-            .map(|e| (e.seq, e.kind))
-            .collect();
-        assert_eq!(
-            order,
-            vec![
-                (3, EventKind::RackFail(0)),
-                (1, EventKind::Rediscover(0)),
-                (2, EventKind::Rediscover(1)),
-            ]
-        );
     }
 
     #[test]
