@@ -61,9 +61,7 @@ pub mod supervise;
 
 use cache::SubModelKey;
 use metrics::{RunMetrics, StageTimings};
-use plan::{
-    item_seed, plan_chaos_items, plan_consensus_items, plan_items, Figure, SimTopology, WorkItem,
-};
+use plan::{item_seed, plan_grid_items, Figure, SimTopology, WorkItem};
 use sdnav_chaos::{ChaosSpec, CrewDiscipline, CrewSpec, InjectionKind};
 
 pub use cache::EvalGraph;
@@ -1061,26 +1059,6 @@ fn resolve_threads(grid: &GridSpec) -> usize {
     }
 }
 
-/// Expands the grid into the canonical work-item order (figures, sim
-/// cells, then chaos cells).
-fn build_items(grid: &GridSpec) -> Vec<WorkItem> {
-    let mut items = plan_items(&grid.figures, grid.points, grid.replications);
-    if grid.chaos_campaign.is_some() {
-        items.extend(plan_chaos_items(
-            &grid.chaos_crew_counts,
-            &grid.chaos_ccf_probabilities,
-        ));
-    }
-    if grid.consensus.is_some() {
-        items.extend(plan_consensus_items(
-            &grid.consensus_election_timeouts_ms,
-            &grid.consensus_cluster_sizes,
-            &grid.consensus_fault_mixes,
-        ));
-    }
-    items
-}
-
 /// Validates the base parameter sets and assembles the shared evaluation
 /// context, fingerprinting the state's HW and SW domains.
 fn build_ctx<'a>(
@@ -1107,20 +1085,56 @@ fn build_ctx<'a>(
 
 /// Folds one item output into the result tables (outputs must arrive in
 /// plan order).
-fn fold_output(results: &mut GridResults, sim_events: &mut u64, output: ItemOutput) {
+fn fold_output(results: &mut GridResults, output: ItemOutput) {
     match output {
         ItemOutput::Fig3(row) => results.fig3.push(row),
         ItemOutput::Sw(Figure::Fig4, row) => results.fig4.push(row),
         ItemOutput::Sw(_, row) => results.fig5.push(row),
-        ItemOutput::Sim(row) => {
-            *sim_events += row.events;
-            results.sim.push(row);
-        }
-        ItemOutput::Chaos(row) => {
-            *sim_events += row.events;
-            results.chaos.push(row);
-        }
+        ItemOutput::Sim(row) => results.sim.push(row),
+        ItemOutput::Chaos(row) => results.chaos.push(row),
         ItemOutput::Consensus(row) => results.consensus.push(row),
+    }
+}
+
+/// Assembles a run's metrics block. Every evaluation path reports through
+/// here, so items, replications, events and cache traffic are counted one
+/// way; the supervision counters start at zero for the supervisor to fill.
+fn run_metrics(
+    results: &GridResults,
+    grid: &GridSpec,
+    items: usize,
+    stages: StageTimings,
+    stats: &pool::PoolStats,
+    (cache_hits, cache_misses): (u64, u64),
+) -> RunMetrics {
+    RunMetrics {
+        threads: stats.workers,
+        items,
+        stages,
+        items_per_sec: if stages.execute_ms > 0.0 {
+            items as f64 / (stages.execute_ms / 1e3)
+        } else {
+            0.0
+        },
+        cache_hits,
+        cache_misses,
+        steals: stats.steals,
+        sim_replications: (results.sim.len() * grid.replications) as u64
+            + results
+                .chaos
+                .iter()
+                .map(|r| r.replications as u64)
+                .sum::<u64>()
+            + results
+                .consensus
+                .iter()
+                .map(|r| r.replications as u64)
+                .sum::<u64>(),
+        sim_events: results.sim.iter().map(|r| r.events).sum::<u64>()
+            + results.chaos.iter().map(|r| r.events).sum::<u64>(),
+        retries: 0,
+        quarantined: 0,
+        restored: 0,
     }
 }
 
@@ -1171,7 +1185,7 @@ pub fn evaluate_incremental(
     let (hits0, misses0) = (graph.hits(), graph.misses());
 
     let plan_start = Instant::now(); // detlint::allow(DL002): stage timing feeds the stderr metrics channel, never results
-    let items = build_items(grid);
+    let items = plan_grid_items(grid);
     let ctx = build_ctx(state, grid, graph)?;
     let plan_ms = plan_start.elapsed().as_secs_f64() * 1e3;
 
@@ -1181,44 +1195,23 @@ pub fn evaluate_incremental(
 
     let aggregate_start = Instant::now(); // detlint::allow(DL002): stage timing feeds the stderr metrics channel, never results
     let mut results = GridResults::default();
-    let mut sim_events = 0u64;
     for output in outputs {
-        fold_output(&mut results, &mut sim_events, output?);
+        fold_output(&mut results, output?);
     }
     let aggregate_ms = aggregate_start.elapsed().as_secs_f64() * 1e3;
 
-    let metrics = RunMetrics {
-        threads: stats.workers,
-        items: items.len(),
-        stages: StageTimings {
+    let metrics = run_metrics(
+        &results,
+        grid,
+        items.len(),
+        StageTimings {
             plan_ms,
             execute_ms,
             aggregate_ms,
         },
-        items_per_sec: if execute_ms > 0.0 {
-            items.len() as f64 / (execute_ms / 1e3)
-        } else {
-            0.0
-        },
-        cache_hits: graph.hits() - hits0,
-        cache_misses: graph.misses() - misses0,
-        steals: stats.steals,
-        sim_replications: (results.sim.len() * grid.replications) as u64
-            + results
-                .chaos
-                .iter()
-                .map(|row| row.replications as u64)
-                .sum::<u64>()
-            + results
-                .consensus
-                .iter()
-                .map(|row| row.replications as u64)
-                .sum::<u64>(),
-        sim_events,
-        retries: 0,
-        quarantined: 0,
-        restored: 0,
-    };
+        &stats,
+        (graph.hits() - hits0, graph.misses() - misses0),
+    );
     Ok(GridOutcome { results, metrics })
 }
 

@@ -307,7 +307,7 @@ pub fn evaluate_supervised(
     let threads = crate::resolve_threads(grid);
 
     let plan_start = Instant::now(); // detlint::allow(DL002): stage timing feeds the stderr metrics channel, never results
-    let items = crate::build_items(grid);
+    let items = crate::plan::plan_grid_items(grid);
     let state = ModelState::paper(spec.clone());
     let graph = EvalGraph::new();
     let ctx = crate::build_ctx(&state, grid, &graph)?;
@@ -382,7 +382,6 @@ pub fn evaluate_supervised(
 
     let aggregate_start = Instant::now(); // detlint::allow(DL002): stage timing feeds the stderr metrics channel, never results
     let mut results = GridResults::default();
-    let mut sim_events = 0u64;
     let mut quarantine = QuarantineReport::default();
     let mut skipped = 0usize;
     let mut journaled_cells = 0u64;
@@ -391,7 +390,7 @@ pub fn evaluate_supervised(
         match cell {
             Cell::Done(EvalCell::Fresh(Ok(output))) | Cell::Done(EvalCell::Restored(output)) => {
                 journaled_cells += 1;
-                crate::fold_output(&mut results, &mut sim_events, output);
+                crate::fold_output(&mut results, output);
             }
             Cell::Done(EvalCell::Fresh(Err(e))) => {
                 if first_error.is_none() {
@@ -423,31 +422,21 @@ pub fn evaluate_supervised(
     let aggregate_ms = aggregate_start.elapsed().as_secs_f64() * 1e3;
 
     let metrics = RunMetrics {
-        threads: run.stats.workers,
-        items: items.len(),
-        stages: StageTimings {
-            plan_ms,
-            execute_ms,
-            aggregate_ms,
-        },
-        items_per_sec: if execute_ms > 0.0 {
-            items.len() as f64 / (execute_ms / 1e3)
-        } else {
-            0.0
-        },
-        cache_hits: graph.hits(),
-        cache_misses: graph.misses(),
-        steals: run.stats.steals,
-        sim_replications: (results.sim.len() * grid.replications) as u64
-            + results
-                .chaos
-                .iter()
-                .map(|row| row.replications as u64)
-                .sum::<u64>(),
-        sim_events,
         retries: run.retries,
         quarantined: quarantine.len() as u64,
         restored: restored_count as u64,
+        ..crate::run_metrics(
+            &results,
+            grid,
+            items.len(),
+            StageTimings {
+                plan_ms,
+                execute_ms,
+                aggregate_ms,
+            },
+            &run.stats,
+            (graph.hits(), graph.misses()),
+        )
     };
 
     Ok(SupervisedOutcome {
@@ -509,6 +498,31 @@ mod tests {
         assert!(!supervised.interrupted);
         assert!(supervised.quarantine.is_empty());
         assert_eq!(supervised.metrics.retries, 0);
+    }
+
+    #[test]
+    fn supervised_and_plain_metrics_count_consensus_cells_alike() {
+        let s = spec();
+        let grid = GridSpec::builder()
+            .figures(&[Figure::Fig3])
+            .points(2)
+            .replications(2)
+            .threads(1)
+            .sim_horizon_hours(2_000.0)
+            .sim_accelerate(500.0)
+            .sim_compute_hosts(2)
+            .consensus(sdnav_core::ConsensusSpec::raft_defaults())
+            .consensus_election_timeouts_ms(&[150.0, 300.0])
+            .consensus_cluster_sizes(&[3])
+            .build()
+            .unwrap();
+        let counts = |m: RunMetrics| (m.items, m.sim_replications, m.sim_events, m.cache_misses);
+        let plain = counts(crate::evaluate(&s, &grid).unwrap().metrics);
+        let opts = SuperviseOptions::default();
+        let supervised = counts(evaluate_supervised(&s, &grid, &opts).unwrap().metrics);
+        // 8 sim cells and 2 consensus cells at 2 replications each.
+        assert_eq!(plain.1, 20);
+        assert_eq!(supervised, plain);
     }
 
     #[test]
