@@ -185,8 +185,8 @@ mod tests {
 
     #[test]
     fn entry_keeps_the_simulators_48_byte_footprint() {
-        // Time, push order, slot and generation plus a two-index payload
-        // (the sim engine's largest event kind).
+        // Time, push order, slot and generation plus a two-index payload,
+        // which covers every event kind of both engines.
         assert_eq!(std::mem::size_of::<Entry<Kind>>(), 48);
     }
 }
