@@ -2,7 +2,7 @@
 
 use sdnav_core::{ControllerSpec, Topology};
 
-use crate::{Estimate, SimConfig, Simulation, Welford};
+use crate::{Estimate, SimConfig, SimResult, Simulation, Welford};
 
 /// Aggregated result of several independent replications.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,7 +24,8 @@ pub struct ReplicatedResult {
 }
 
 /// Runs `replications` independent simulations (seeds `seed`,
-/// `seed+1`, …) in parallel threads and aggregates their means.
+/// `seed+1`, …) on at most one worker thread per available CPU and
+/// aggregates their means.
 ///
 /// # Panics
 ///
@@ -39,35 +40,46 @@ pub fn replicate(
 ) -> ReplicatedResult {
     assert!(replications > 0, "need at least one replication");
     let sim = Simulation::try_new(spec, topology, config).expect("valid simulation");
-    // Workers run in parallel; the join loop folds their results in seed
-    // order, so the Welford streams see a fixed sample order and the
-    // aggregate is deterministic regardless of completion order. Nothing is
-    // retained per replication — only the streaming accumulators.
+    let workers = std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(replications);
+    // Worker `w` runs replications `w, w + workers, …`; the fold below
+    // walks them back in seed order, so the Welford streams see a fixed
+    // sample order and the aggregate does not depend on the worker count.
+    let runs: Vec<Vec<SimResult>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let sim = &sim;
+                scope.spawn(move || {
+                    (w..replications)
+                        .step_by(workers)
+                        .map(|i| sim.run(seed + i as u64))
+                        .collect()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("replication worker panicked"))
+            .collect()
+    });
     let mut cp = Welford::new();
     let mut dp = Welford::new();
     let mut total_events = 0u64;
     let mut total_hours = 0.0f64;
     let mut cp_outages = 0u64;
     let mut outage_hours = 0.0f64;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..replications)
-            .map(|i| {
-                let sim = &sim;
-                scope.spawn(move || sim.run(seed + i as u64))
-            })
-            .collect();
-        for h in handles {
-            let r = h.join().expect("replication worker panicked");
-            cp.push(r.cp_availability);
-            dp.push(r.dp_availability);
-            total_events += r.events;
-            total_hours += r.simulated_hours;
-            cp_outages += r.cp_outage_count;
-            if r.cp_outage_count > 0 {
-                outage_hours += r.cp_outage_mean_hours * r.cp_outage_count as f64;
-            }
+    for i in 0..replications {
+        let r = &runs[i % workers][i / workers];
+        cp.push(r.cp_availability);
+        dp.push(r.dp_availability);
+        total_events += r.events;
+        total_hours += r.simulated_hours;
+        cp_outages += r.cp_outage_count;
+        if r.cp_outage_count > 0 {
+            outage_hours += r.cp_outage_mean_hours * r.cp_outage_count as f64;
         }
-    });
+    }
     ReplicatedResult {
         cp: cp.estimate(),
         dp: dp.estimate(),
@@ -113,5 +125,44 @@ mod tests {
         // Not a strict theorem for one draw, but overwhelmingly likely with
         // 4x the samples; tolerate equality.
         assert!(many.cp.std_error <= few.cp.std_error * 1.5 + 1e-12);
+    }
+
+    #[test]
+    fn parallel_fold_equals_serial_fold() {
+        let spec = ControllerSpec::opencontrail_3x();
+        let topo = Topology::small(&spec);
+        let mut cfg = SimConfig::paper_defaults(Scenario::SupervisorNotRequired).accelerated(200.0);
+        cfg.horizon_hours = 5_000.0;
+        cfg.compute_hosts = 2;
+        let sim = Simulation::try_new(&spec, &topo, cfg).expect("valid simulation");
+        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        // One more than a multiple of the worker count, so the last round
+        // leaves workers idle and the strided split is uneven.
+        let replications = 2 * workers + 1;
+        let seed = 40;
+        let (mut cp, mut dp) = (Welford::new(), Welford::new());
+        let (mut events, mut hours, mut outages, mut outage_hours) = (0u64, 0.0f64, 0u64, 0.0f64);
+        for i in 0..replications {
+            let r = sim.run(seed + i as u64);
+            cp.push(r.cp_availability);
+            dp.push(r.dp_availability);
+            events += r.events;
+            hours += r.simulated_hours;
+            outages += r.cp_outage_count;
+            if r.cp_outage_count > 0 {
+                outage_hours += r.cp_outage_mean_hours * r.cp_outage_count as f64;
+            }
+        }
+        let r = replicate(&spec, &topo, cfg, seed, replications);
+        assert_eq!(r.cp, cp.estimate());
+        assert_eq!(r.dp, dp.estimate());
+        assert_eq!(r.total_events, events);
+        assert_eq!(r.total_hours.to_bits(), hours.to_bits());
+        assert_eq!(r.cp_outages, outages);
+        assert!(outages > 0);
+        assert_eq!(
+            r.cp_outage_mean_hours.to_bits(),
+            (outage_hours / outages as f64).to_bits()
+        );
     }
 }
